@@ -1,7 +1,7 @@
 //! Record one broadcast and emit every observability artifact at once:
 //!
-//! * a text Gantt + per-core op summary on stdout (the quick look that
-//!   used to be the `gantt` binary);
+//! * a text Gantt + per-core op summary on stdout, derived from the
+//!   `Op` events of the recorded stream;
 //! * `results/trace_<label>.json` — Chrome trace_event JSON, loadable
 //!   in Perfetto (`ui.perfetto.dev`): one track per core with ops,
 //!   parked intervals and protocol-phase spans, plus one track per
@@ -20,11 +20,11 @@
 use oc_bcast::{Algorithm, Broadcaster, OcConfig};
 use scc_hal::{CoreId, MemRange, Rma, RmaResult, Time};
 use scc_obs::{
-    chrome_trace_json, critical_path, flamegraph_collapsed, validate_json, Json, ObsEvent,
-    UtilizationSeries, ARTIFACT_VERSION,
+    chrome_trace_json, critical_path, flamegraph_collapsed, render_gantt, summarize, validate_json,
+    Json, ObsEvent, UtilizationSeries, ARTIFACT_VERSION,
 };
 use scc_rcce::MpbAllocator;
-use scc_sim::{render_gantt, run_spmd, summarize, SimConfig};
+use scc_sim::{run_spmd, SimConfig};
 
 struct Opts {
     collective: String,
@@ -102,7 +102,6 @@ fn main() {
     let cfg = SimConfig {
         num_cores: p,
         mem_bytes: (bytes.next_power_of_two()).max(1 << 20),
-        trace: true,
         record: true,
         ..SimConfig::default()
     };
@@ -124,10 +123,9 @@ fn main() {
 
     // ---- quick look: Gantt + per-core summary --------------------------
     println!("{} — {} cache lines, P={p}, one broadcast\n", alg.label(), o.lines);
-    let trace = rep.trace.as_deref().expect("trace enabled");
-    print!("{}", render_gantt(trace, p, o.width));
+    print!("{}", render_gantt(events, p, o.width));
     println!();
-    let summary = summarize(trace, p);
+    let summary = summarize(events, p);
     println!("{:>4} {:>6} {:>7} {:>12} {:>12}", "core", "ops", "lines", "busy", "polling");
     for (i, s) in summary.per_core.iter().enumerate() {
         println!(

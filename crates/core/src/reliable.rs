@@ -21,9 +21,11 @@
 //! handshake recover independently this way, a dropped flag in either
 //! direction stalls neither side for longer than a few probe rounds.
 //!
-//! Everything is policy-gated by [`Reliability`]: with the default
-//! (disabled) policy the reliable entry points delegate to the plain
-//! protocols, keeping the failure-free fast path byte-identical.
+//! The deadline/retry schedule is a [`Reliability`] policy. OC-Bcast
+//! keeps a single protocol body: without recovery state it is the
+//! paper's plain protocol, and a context built by
+//! [`crate::OcBcast::new_reliable`] adds the mirror publishes and the
+//! probing waits to the same steps.
 
 use crate::tree::{binomial_children, binomial_parent};
 use scc_hal::{
@@ -34,17 +36,12 @@ use scc_rcce::{MpbAllocator, MpbExhausted, MpbRegion};
 
 /// Retry policy for the reliable collectives.
 ///
-/// The default is **disabled**: reliable entry points behave exactly
-/// like their plain counterparts (same ops in the same order), so
-/// existing results stay byte-identical. [`Reliability::standard`]
-/// enables recovery with parameters that sit well above the longest
-/// legitimate wait of the shipped experiments, so failure-free runs
-/// rarely probe spuriously (a spurious probe is harmless — it only
+/// [`Reliability::standard`] has parameters that sit well above the
+/// longest legitimate wait of the shipped experiments, so failure-free
+/// runs rarely probe spuriously (a spurious probe is harmless — it only
 /// costs a one-line get).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Reliability {
-    /// Master switch; `false` delegates to the plain protocols.
-    pub enabled: bool,
     /// Patience of the first wait on any flag; later attempts multiply
     /// it by `backoff`.
     pub timeout: Time,
@@ -57,21 +54,11 @@ pub struct Reliability {
     pub backoff: u32,
 }
 
-impl Default for Reliability {
-    fn default() -> Self {
-        Reliability {
-            enabled: false,
-            timeout: Time::from_us_f64(150.0),
-            max_retries: 12,
-            backoff: 2,
-        }
-    }
-}
-
 impl Reliability {
-    /// The enabled policy used by the `faults` experiment.
+    /// The policy the `faults`, `soak` and `audit` experiments start
+    /// from.
     pub fn standard() -> Reliability {
-        Reliability { enabled: true, ..Reliability::default() }
+        Reliability { timeout: Time::from_us_f64(150.0), max_retries: 12, backoff: 2 }
     }
 }
 
@@ -119,8 +106,7 @@ pub(crate) fn probe_remote_flag<R: Rma>(
 /// deadline/retry schedule. On each expiry, `recover` may declare the
 /// condition effectively met (it probed a peer's progress mirror and
 /// found the awaited event already happened — only the flag was
-/// lost); otherwise the wait repeats with multiplied patience. With a
-/// disabled policy this is exactly a plain `flag_wait_local`.
+/// lost); otherwise the wait repeats with multiplied patience.
 pub(crate) fn wait_ge_or_recover<R, F>(
     c: &mut R,
     policy: &Reliability,
@@ -133,9 +119,6 @@ where
     R: Rma,
     F: FnMut(&mut R, &mut RelStats) -> RmaResult<bool>,
 {
-    if !policy.enabled {
-        return Ok(c.flag_wait_local(line, &mut |v| v.0 >= want)?.0);
-    }
     let mut patience = policy.timeout;
     for _ in 0..=policy.max_retries {
         let deadline = c.now() + patience;
@@ -495,12 +478,6 @@ mod tests {
         check(&cfg(48), Reliability::standard(), 0, 300 * 32);
         check(&cfg(12), Reliability::standard(), 7, 500);
         check(&cfg(2), Reliability::standard(), 1, 100);
-    }
-
-    #[test]
-    fn disabled_policy_uses_plain_waits() {
-        let stats = check(&cfg(16), Reliability::default(), 0, 2000);
-        assert_eq!(stats, RelStats::default());
     }
 
     #[test]

@@ -234,27 +234,6 @@ pub trait RmaExt: Rma {
         self.flag_wait_local(line, &mut |v| v >= value)
     }
 
-    /// Deadline-aware [`RmaExt::flag_wait_eq`].
-    fn flag_wait_eq_until(
-        &mut self,
-        line: usize,
-        value: FlagValue,
-        deadline: Time,
-    ) -> RmaResult<()> {
-        self.flag_wait_local_until(line, &mut |v| v == value, deadline)?;
-        Ok(())
-    }
-
-    /// Deadline-aware [`RmaExt::flag_wait_ge`].
-    fn flag_wait_ge_until(
-        &mut self,
-        line: usize,
-        value: FlagValue,
-        deadline: Time,
-    ) -> RmaResult<FlagValue> {
-        self.flag_wait_local_until(line, &mut |v| v >= value, deadline)
-    }
-
     /// Read a whole message back out of private memory (untimed), for
     /// verification in tests and examples.
     fn mem_to_vec(&self, range: MemRange) -> RmaResult<Vec<u8>> {

@@ -1,31 +1,14 @@
-//! Optional op-level tracing: when enabled in [`crate::SimConfig`],
-//! every timed RMA operation is recorded with its issue and completion
-//! times, giving a per-core timeline of the collective — the quick-look
-//! tool behind the `trace` binary's text Gantt. The full structured
-//! event stream (queue waits, park/wake, phase spans) lives in
-//! `scc-obs`; this module keeps the lightweight per-op view.
+//! Per-op quick look: a fixed-width text Gantt chart and per-core op
+//! totals, derived from the [`ObsEvent::Op`] records of a recorded run
+//! — the stdout view of the `trace` binary. Every other event kind is
+//! ignored.
 
-use scc_hal::{CoreId, MsgId, Time};
+use crate::event::{ObsEvent, OpKind};
+use scc_hal::{CoreId, Time};
 
-pub use scc_obs::OpKind;
-
-/// One traced operation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct OpTrace {
-    pub core: CoreId,
-    pub kind: OpKind,
-    pub lines: usize,
-    pub start: Time,
-    pub end: Time,
-    /// Message fragment the op carried, when the collective tagged it
-    /// (see [`scc_hal::msg`]). Not rendered by the Gantt view.
-    pub msg: Option<MsgId>,
-}
-
-/// Per-core, per-kind aggregate of a trace.
+/// Per-core aggregate of a run's ops.
 #[derive(Clone, Debug, Default)]
 pub struct TraceSummary {
-    /// `(ops, lines, busy time)` per kind, indexed per core.
     pub per_core: Vec<CoreSummary>,
 }
 
@@ -37,16 +20,24 @@ pub struct CoreSummary {
     pub polling: Time,
 }
 
-/// Aggregate a trace into per-core totals.
-pub fn summarize(trace: &[OpTrace], num_cores: usize) -> TraceSummary {
+/// `(core, kind, lines, start, end)` of every op, in recording order.
+fn ops(events: &[ObsEvent]) -> impl Iterator<Item = (CoreId, OpKind, usize, Time, Time)> + '_ {
+    events.iter().filter_map(|e| match *e {
+        ObsEvent::Op { core, kind, lines, start, end, .. } => Some((core, kind, lines, start, end)),
+        _ => None,
+    })
+}
+
+/// Aggregate the ops of `events` into per-core totals.
+pub fn summarize(events: &[ObsEvent], num_cores: usize) -> TraceSummary {
     let mut per_core = vec![CoreSummary::default(); num_cores];
-    for t in trace {
-        let s = &mut per_core[t.core.index()];
+    for (core, kind, lines, start, end) in ops(events) {
+        let s = &mut per_core[core.index()];
         s.ops += 1;
-        s.lines += t.lines;
-        s.busy += t.end - t.start;
-        if t.kind == OpKind::FlagRead {
-            s.polling += t.end - t.start;
+        s.lines += lines;
+        s.busy += end - start;
+        if kind == OpKind::FlagRead {
+            s.polling += end - start;
         }
     }
     TraceSummary { per_core }
@@ -65,22 +56,22 @@ fn legend() -> String {
     parts.join(", ")
 }
 
-/// Render a fixed-width text Gantt chart of the trace: one row per
-/// core, `width` character cells spanning `[0, horizon]`, each cell
-/// showing the op that was active (last-writer-wins within a cell).
+/// Render a fixed-width text Gantt chart of the ops in `events`: one
+/// row per core, `width` character cells spanning `[0, horizon]`, each
+/// cell showing the op that was active (last-writer-wins within a
+/// cell).
 ///
-/// A trace containing only polls (or only zero-length ops) renders as
+/// A run whose ops are only polls (or only zero-length ops) renders as
 /// all-idle rows, not as "(empty trace)": the run *did* something — it
 /// waited — and the timeline should say so.
-pub fn render_gantt(trace: &[OpTrace], num_cores: usize, width: usize) -> String {
+pub fn render_gantt(events: &[ObsEvent], num_cores: usize, width: usize) -> String {
     assert!(width >= 10);
-    if trace.is_empty() {
+    let Some(horizon) = ops(events).map(|(.., end)| end).max() else {
         return String::from("(empty trace)\n");
-    }
-    let horizon = trace.iter().map(|t| t.end).fold(Time::ZERO, Time::max);
+    };
     let mut rows = vec![vec![b'.'; width]; num_cores];
-    for t in trace {
-        let glyph = t.kind.glyph();
+    for (core, kind, _, start, end) in ops(events) {
+        let glyph = kind.glyph();
         if glyph == b'.' || horizon == Time::ZERO {
             continue;
         }
@@ -90,9 +81,9 @@ pub fn render_gantt(trace: &[OpTrace], num_cores: usize, width: usize) -> String
         // start is clamped too (`a <= width - 1`), and every op paints
         // at least the cell it starts in.
         let cell = |x: Time| (x.as_ps() as u128 * width as u128 / horizon.as_ps() as u128) as usize;
-        let a = cell(t.start).min(width - 1);
-        let b = cell(t.end).max(a + 1).min(width);
-        for c in &mut rows[t.core.index()][a..b] {
+        let a = cell(start).min(width - 1);
+        let b = cell(end).max(a + 1).min(width);
+        for c in &mut rows[core.index()][a..b] {
             *c = glyph;
         }
     }
@@ -108,8 +99,8 @@ pub fn render_gantt(trace: &[OpTrace], num_cores: usize, width: usize) -> String
 mod tests {
     use super::*;
 
-    fn t(core: u8, kind: OpKind, start: u64, end: u64) -> OpTrace {
-        OpTrace {
+    fn t(core: u8, kind: OpKind, start: u64, end: u64) -> ObsEvent {
+        ObsEvent::Op {
             core: CoreId(core),
             kind,
             lines: 1,
@@ -121,13 +112,13 @@ mod tests {
 
     #[test]
     fn summary_totals() {
-        let trace = vec![
+        let events = vec![
             t(0, OpKind::PutFromMem, 0, 100),
             t(0, OpKind::FlagPut, 100, 120),
             t(1, OpKind::FlagRead, 0, 50),
             t(1, OpKind::GetToMpb, 50, 200),
         ];
-        let s = summarize(&trace, 2);
+        let s = summarize(&events, 2);
         assert_eq!(s.per_core[0].ops, 2);
         assert_eq!(s.per_core[0].busy, Time::from_ns(120));
         assert_eq!(s.per_core[0].polling, Time::ZERO);
@@ -136,8 +127,8 @@ mod tests {
 
     #[test]
     fn gantt_renders_rows_and_glyphs() {
-        let trace = vec![t(0, OpKind::PutFromMem, 0, 500), t(1, OpKind::GetToMpb, 500, 1000)];
-        let g = render_gantt(&trace, 2, 20);
+        let events = vec![t(0, OpKind::PutFromMem, 0, 500), t(1, OpKind::GetToMpb, 500, 1000)];
+        let g = render_gantt(&events, 2, 20);
         assert!(g.contains('P'), "{g}");
         assert!(g.contains('g'), "{g}");
         // Core 0 is busy in the first half only.
@@ -152,27 +143,38 @@ mod tests {
         assert_eq!(render_gantt(&[], 4, 20), "(empty trace)\n");
     }
 
+    /// Only `Op` events count: other kinds neither paint cells, widen
+    /// the horizon nor enter the summary.
+    #[test]
+    fn non_op_events_are_ignored() {
+        let park = ObsEvent::Park { core: CoreId(0), line: 0, at: Time::from_ns(5_000) };
+        assert_eq!(render_gantt(&[park], 1, 10), "(empty trace)\n");
+        let events = vec![t(0, OpKind::PutFromMem, 0, 1000), park];
+        assert_eq!(render_gantt(&events, 1, 10), render_gantt(&events[..1], 1, 10));
+        assert_eq!(summarize(&events, 1).per_core[0].ops, 1);
+    }
+
     /// An op ending exactly at the horizon maps to the exclusive cell
     /// bound `width`; the renderer must clamp, not index out of range,
     /// and the final cell must be painted.
     #[test]
     fn op_ending_at_horizon_paints_last_cell() {
-        let trace = vec![
+        let events = vec![
             t(0, OpKind::PutFromMem, 0, 1000),
             t(1, OpKind::FlagPut, 900, 1000), // starts in the last cell
         ];
-        let g = render_gantt(&trace, 2, 10);
+        let g = render_gantt(&events, 2, 10);
         let c0 = g.lines().find(|l| l.starts_with("C0")).unwrap();
         assert_eq!(&c0[c0.find('|').unwrap() + 1..c0.rfind('|').unwrap()], "PPPPPPPPPP", "{g}");
         let c1 = g.lines().find(|l| l.starts_with("C1")).unwrap();
         assert!(c1.ends_with("f|"), "{g}");
     }
 
-    /// A poll-only trace is a real (if idle) timeline, not an empty one.
+    /// A poll-only run is a real (if idle) timeline, not an empty one.
     #[test]
     fn flag_read_only_trace_renders_idle_rows() {
-        let trace = vec![t(0, OpKind::FlagRead, 0, 700), t(1, OpKind::FlagRead, 0, 400)];
-        let g = render_gantt(&trace, 2, 12);
+        let events = vec![t(0, OpKind::FlagRead, 0, 700), t(1, OpKind::FlagRead, 0, 400)];
+        let g = render_gantt(&events, 2, 12);
         assert!(!g.contains("(empty trace)"), "{g}");
         assert!(g.contains("C0  |............|"), "{g}");
         assert!(g.contains("C1  |............|"), "{g}");
@@ -182,8 +184,8 @@ mod tests {
     /// by zero, all rows idle.
     #[test]
     fn zero_horizon_nonempty_trace() {
-        let trace = vec![t(0, OpKind::FlagPut, 0, 0)];
-        let g = render_gantt(&trace, 1, 10);
+        let events = vec![t(0, OpKind::FlagPut, 0, 0)];
+        let g = render_gantt(&events, 1, 10);
         assert!(g.contains("C0  |..........|"), "{g}");
     }
 

@@ -26,6 +26,8 @@
 //!   nearest-rank quantiles and log₂ shapes;
 //! * [`flame`] — collapsed-stack flamegraph export
 //!   (`core → phase nest`, consumable by inferno/speedscope);
+//! * [`gantt`] — the per-op text Gantt chart and per-core op totals
+//!   printed by the `trace` binary;
 //! * [`diff`] — differential critical paths: a (phase × resource) grid
 //!   whose cell deltas sum *exactly* to the makespan delta between two
 //!   runs;
@@ -74,6 +76,7 @@ pub mod diff;
 pub mod event;
 pub mod faultrep;
 pub mod flame;
+pub mod gantt;
 pub mod grid;
 pub mod heatmap;
 pub mod hist;
@@ -109,6 +112,7 @@ pub use faultrep::{
     faults_artifact, parse_faults_artifact, render_faults_markdown, FaultCurve, FaultPoint,
 };
 pub use flame::flamegraph_collapsed;
+pub use gantt::{render_gantt, summarize, CoreSummary, TraceSummary};
 pub use heatmap::LinkHeatmap;
 pub use hist::{LatencyHistogram, RunHistograms};
 pub use journey::{journeys_artifact, parse_journeys_artifact, Journey, JourneyBook, LegKind};

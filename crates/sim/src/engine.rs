@@ -40,7 +40,7 @@
 //! smaller sequence number and would run first, so the fast path only
 //! triggers on *strictly earlier* completions — and each elided heap
 //! round-trip still counts in `SimStats::events`, keeping counters,
-//! traces and end times bit-identical to a run with coalescing
+//! recorded events and end times bit-identical to a run with coalescing
 //! disabled (see `SimConfig::coalesce`).
 
 use crate::chip::{Chip, SimStats};
@@ -48,7 +48,6 @@ use crate::fault::{FaultPlan, FaultState};
 use crate::handoff::{self, ParkCell, Slot};
 use crate::ops::{self, Effect, Op};
 use crate::params::SimParams;
-use crate::trace::OpTrace;
 use scc_hal::{
     CoreId, FlagValue, MemRange, MpbAddr, MsgId, Rma, RmaError, RmaResult, Span, Time, NUM_CORES,
 };
@@ -69,9 +68,6 @@ pub struct SimConfig {
     pub mem_bytes: usize,
     /// Chip timing parameters.
     pub params: SimParams,
-    /// Record an [`OpTrace`] entry per timed operation (costs memory
-    /// proportional to the op count; off by default).
-    pub trace: bool,
     /// Step op lines in a tight loop while no other event can
     /// intervene (default on). Virtual-time behaviour is identical
     /// either way; the knob exists so tests can regress-check that
@@ -107,7 +103,6 @@ impl Default for SimConfig {
             num_cores: NUM_CORES,
             mem_bytes: 4 << 20,
             params: SimParams::default(),
-            trace: false,
             coalesce: true,
             record: false,
             flight: 0,
@@ -165,8 +160,6 @@ pub struct SimReport<R> {
     pub makespan: Time,
     /// Engine counters.
     pub stats: SimStats,
-    /// Op-level trace, when enabled in the config.
-    pub trace: Option<Vec<OpTrace>>,
     /// Structured event stream, when [`SimConfig::record`] was set.
     pub events: Option<Vec<ObsEvent>>,
 }
@@ -311,7 +304,6 @@ struct Engine {
     n: usize,
     deadlocks: Vec<(CoreId, usize)>,
     deadlock_rounds: u32,
-    trace: Option<Vec<OpTrace>>,
     /// Set once the run is being torn down; every later submit fails.
     fatal: bool,
 }
@@ -342,7 +334,6 @@ impl Engine {
             n,
             deadlocks: Vec::new(),
             deadlock_rounds: 0,
-            trace: cfg.trace.then(Vec::new),
             fatal: false,
         };
         for i in 0..n {
@@ -562,16 +553,6 @@ impl Engine {
             let p = self.pending[i].as_mut().expect("Step without a pending op");
             if p.remaining == 0 {
                 let done = self.pending[i].take().expect("pending vanished");
-                if let Some(tr) = self.trace.as_mut() {
-                    tr.push(OpTrace {
-                        core: CoreId(i as u8),
-                        kind: ops::op_kind(&done.op),
-                        lines: ops::total_lines(&done.op),
-                        start: done.issued,
-                        end: self.now,
-                        msg: done.msg,
-                    });
-                }
                 self.record(ObsEvent::Op {
                     core: CoreId(i as u8),
                     kind: ops::op_kind(&done.op),
@@ -709,7 +690,6 @@ impl Engine {
         if self.deadlocks.is_empty() {
             Ok(RunOutput {
                 end_times: std::mem::take(&mut self.end_times),
-                trace: self.trace.take(),
                 events: self.chip.recorder.as_mut().map(|r| r.drain()),
                 stats: self.chip.stats.clone(),
             })
@@ -721,7 +701,6 @@ impl Engine {
 
 struct RunOutput {
     end_times: Vec<Time>,
-    trace: Option<Vec<OpTrace>>,
     events: Option<Vec<ObsEvent>>,
     stats: SimStats,
 }
@@ -1192,7 +1171,6 @@ where
         end_times: out.end_times,
         makespan,
         stats: out.stats,
-        trace: out.trace,
         events: out.events,
     })
 }

@@ -3,8 +3,9 @@
 //! `record: true` must produce exactly the same virtual times, engine
 //! counters (including the fast-path accounting `events ==
 //! heap_pushes + coalesced_steps` and the per-resource wait/busy
-//! vectors) and op trace as a run with recording off — the only
-//! difference allowed is the presence of the event stream itself.
+//! vectors) and per-op completion instants as a run with recording off
+//! — the only difference allowed is the presence of the event stream
+//! itself.
 
 use scc_hal::{CoreId, FlagValue, MemRange, MpbAddr, Phase, Rma, RmaExt, RmaResult, Span, Time};
 use scc_obs::ObsEvent;
@@ -14,51 +15,51 @@ use scc_sim::{run_spmd, SimConfig, SimReport};
 /// The messy SPMD program from the coalescing guard, plus protocol
 /// spans: bulk puts (cached and uncached), port contention, flag
 /// ping-pong with parking, gets, compute — every event source the
-/// recorder taps.
-fn workload(c: &mut SimCore) -> RmaResult<Time> {
+/// recorder taps. Returns the core's clock after every RMA call: the
+/// completion instant of each op (a flag wait completes with its last
+/// poll), witnessed without the recorder.
+fn workload(c: &mut SimCore) -> RmaResult<Vec<Time>> {
     let me = c.core().index();
     let n = c.num_cores();
     let right = CoreId(((me + 1) % n) as u8);
     let payload = vec![me as u8 ^ 0x5A; 24 + 32 * (me % 5)];
+    let mut done = Vec::new();
 
     c.mem_write(0, &payload)?;
     c.span_begin(Span::of(Phase::Dissemination));
     if me != 0 {
         c.put_from_mem(MemRange::new(0, payload.len()), MpbAddr::new(CoreId(0), 2 + (me % 4)))?;
+        done.push(c.now());
     }
     c.put_from_mem_cached(MemRange::new(0, payload.len()), MpbAddr::new(right, 8))?;
+    done.push(c.now());
     c.span_end(Span::of(Phase::Dissemination));
     c.flag_put(MpbAddr::new(right, 0), FlagValue(1))?;
+    done.push(c.now());
     c.span_begin(Span::of(Phase::NotifyWait));
     c.flag_wait_eq(0, FlagValue(1))?;
+    done.push(c.now());
     c.span_end(Span::of(Phase::NotifyWait));
     c.get_to_mpb(MpbAddr::new(right, 8), 16, 1 + me % 3)?;
+    done.push(c.now());
     c.compute(Time::from_ns(137 * (1 + me as u64 % 7)));
     c.get_to_mem(MpbAddr::new(right, 8), MemRange::new(512, payload.len()))?;
+    done.push(c.now());
     c.flag_put(MpbAddr::new(right, 1), FlagValue(2))?;
+    done.push(c.now());
     c.flag_wait_ge(1, FlagValue(2))?;
-    Ok(c.now())
+    done.push(c.now());
+    Ok(done)
 }
 
-fn run(record: bool, cores: usize) -> SimReport<RmaResult<Time>> {
-    let cfg = SimConfig {
-        num_cores: cores,
-        mem_bytes: 4096,
-        trace: true,
-        record,
-        ..SimConfig::default()
-    };
+fn run(record: bool, cores: usize) -> SimReport<RmaResult<Vec<Time>>> {
+    let cfg = SimConfig { num_cores: cores, mem_bytes: 4096, record, ..SimConfig::default() };
     run_spmd(&cfg, workload).expect("workload must complete")
 }
 
-fn run_flight(capacity: usize, cores: usize) -> SimReport<RmaResult<Time>> {
-    let cfg = SimConfig {
-        num_cores: cores,
-        mem_bytes: 4096,
-        trace: true,
-        flight: capacity,
-        ..SimConfig::default()
-    };
+fn run_flight(capacity: usize, cores: usize) -> SimReport<RmaResult<Vec<Time>>> {
+    let cfg =
+        SimConfig { num_cores: cores, mem_bytes: 4096, flight: capacity, ..SimConfig::default() };
     run_spmd(&cfg, workload).expect("workload must complete")
 }
 
@@ -83,10 +84,9 @@ fn recording_is_free_of_observable_effects() {
             assert_eq!(
                 r.as_ref().unwrap(),
                 off.results[i].as_ref().unwrap(),
-                "core {i} finished at a different virtual time at P={cores}"
+                "core {i} completed its ops at different virtual times at P={cores}"
             );
         }
-        assert_eq!(on.trace, off.trace, "op trace diverged at P={cores}");
 
         // The recorded run must actually carry the stream (otherwise
         // this test guards nothing) and the bare run must not.
@@ -112,7 +112,6 @@ fn flight_recording_is_free_and_matches_the_tail_window() {
             assert_eq!(flight.end_times, off.end_times, "end_times diverged at P={cores}");
             assert_eq!(flight.makespan, off.makespan, "makespan diverged at P={cores}");
             assert_eq!(flight.stats, off.stats, "SimStats diverged at P={cores}");
-            assert_eq!(flight.trace, off.trace, "op trace diverged at P={cores}");
             for (i, r) in flight.results.iter().enumerate() {
                 assert_eq!(
                     r.as_ref().unwrap(),
@@ -147,20 +146,35 @@ fn full_recording_takes_precedence_over_flight() {
 }
 
 /// The recorded stream agrees with the engine's own counters: one Op
-/// event per traced op (with matching times), one Park per park, one
-/// Handoff per handoff, and balanced span brackets on every core.
+/// event per timed op (carrying every moved line), one Park per park,
+/// one Handoff per handoff, and balanced span brackets on every core.
+/// Each core's Op end instants contain, in order, the completion
+/// instants the workload witnessed on its own clock, and the last one
+/// is the core's final op.
 #[test]
 fn event_stream_is_complete_and_balanced() {
     let rep = run(true, 7);
     let events = rep.events.as_deref().unwrap();
-    let trace = rep.trace.as_deref().unwrap();
 
-    let ops = events.iter().filter(|e| matches!(e, ObsEvent::Op { .. })).count();
-    assert_eq!(ops, trace.len(), "one Op event per traced op");
-    for (ev, t) in events.iter().filter(|e| matches!(e, ObsEvent::Op { .. })).zip(trace) {
-        if let ObsEvent::Op { core, kind, start, end, .. } = *ev {
-            assert_eq!((core, kind, start, end), (t.core, t.kind, t.start, t.end));
+    let mut op_ends = vec![Vec::new(); 7];
+    let mut lines_moved = 0;
+    for ev in events {
+        if let ObsEvent::Op { core, lines, start, end, .. } = *ev {
+            assert!(start <= end, "op ends before it starts");
+            op_ends[core.index()].push(end);
+            lines_moved += lines as u64;
         }
+    }
+    let ops: usize = op_ends.iter().map(Vec::len).sum();
+    assert_eq!(ops as u64, rep.stats.ops, "one Op event per timed op");
+    assert_eq!(lines_moved, rep.stats.lines_moved, "Op events carry every moved line");
+    for (i, r) in rep.results.iter().enumerate() {
+        let witness = r.as_ref().unwrap();
+        let mut ends = op_ends[i].iter();
+        for t in witness {
+            assert!(ends.any(|e| e == t), "core {i}: no Op event ends at witnessed {t}");
+        }
+        assert_eq!(op_ends[i].last(), witness.last(), "core {i}: last op mismatch");
     }
 
     let parks = events.iter().filter(|e| matches!(e, ObsEvent::Park { .. })).count();

@@ -18,13 +18,7 @@ use scc_sim::{run_spmd, SimConfig, SimParams, SimReport};
 
 fn record_bcast(p: usize, alg: Algorithm, lines: usize) -> SimReport<RmaResult<()>> {
     let bytes = lines * 32;
-    let cfg = SimConfig {
-        num_cores: p,
-        mem_bytes: 1 << 20,
-        trace: true,
-        record: true,
-        ..SimConfig::default()
-    };
+    let cfg = SimConfig { num_cores: p, mem_bytes: 1 << 20, record: true, ..SimConfig::default() };
     run_spmd(&cfg, move |c| -> RmaResult<()> {
         let mut alloc = MpbAllocator::new();
         let mut b = Broadcaster::new(&mut alloc, alg, p).expect("MPB layout");
