@@ -1,7 +1,7 @@
 //! Engine self-benchmark: how fast the simulator itself retires events,
 //! measured on (a) a raw op-throughput loop and (b) a Figure-8b-like
 //! OC-Bcast size sweep at P = 48. This measures the host-side DES
-//! engine — event coalescing, pooled core threads, slot handoffs — not
+//! engine — event coalescing, core fibers, stack-switch handoffs — not
 //! the simulated SCC, whose virtual-time results are identical whatever
 //! the engine speed.
 //!
@@ -21,7 +21,7 @@ fn timed<F>(cfg: &SimConfig, label: &str, reps: u32, f: F) -> EngineSample
 where
     F: Fn(&mut scc_sim::SimCore) -> RmaResult<()> + Send + Sync,
 {
-    // One untimed warmup run pays the worker-pool spawn cost.
+    // One untimed warmup run maps the fiber stacks.
     run_spmd(cfg, &f).expect("warmup");
     let t0 = Instant::now();
     let mut stats = SimStats::default();
@@ -33,7 +33,7 @@ where
     EngineSample { label: label.into(), wall_s, stats }
 }
 
-/// Fixed per-run cost at P = 48: worker dispatch, chip construction,
+/// Fixed per-run cost at P = 48: fiber set-up, chip construction,
 /// start grants, teardown — no ops at all.
 fn null_run(reps: u32) -> EngineSample {
     let cfg = SimConfig { num_cores: 48, mem_bytes: 4096, ..SimConfig::default() };
@@ -100,15 +100,12 @@ fn main() {
     let total_events: u64 = samples.iter().map(|s| s.stats.events).sum();
     let pool = handoff::pool_stats();
     println!(
-        "# total: {:.1} ms for {} events ({:.0} events/s); {} worker threads spawned",
+        "# total: {:.1} ms for {} events ({:.0} events/s); {} fiber stacks mapped, {} reused",
         total_wall * 1e3,
         total_events,
         total_events as f64 / total_wall,
-        pool.spawned
-    );
-    println!(
-        "# pool: {} leases served from the free list, {} retired over cap, peak {} pooled (cap {})",
-        pool.reused, pool.retired, pool.peak_pooled, pool.cap
+        pool.spawned,
+        pool.reused
     );
 
     let out = engine_artifact(quick(), reps, &samples, &pool);

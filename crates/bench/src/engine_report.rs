@@ -37,8 +37,15 @@ fn json_sample(s: &EngineSample) -> Json {
         .set("lines_moved", count(s.stats.lines_moved))
 }
 
-/// Render the `BENCH_engine.json` document: the shared versioned
-/// envelope, the run configuration, every sample, and the pool totals.
+/// Schema version of `BENCH_engine.json`. Version 2 dropped the
+/// thread-pool fields (`workers_retired`, `peak_pooled`, `pool_cap`)
+/// when cores became fibers, and counts fiber stacks instead of worker
+/// threads.
+pub const ENGINE_ARTIFACT_VERSION: i64 = 2;
+
+/// Render the `BENCH_engine.json` document: the shared envelope at
+/// [`ENGINE_ARTIFACT_VERSION`], the run configuration, every sample,
+/// and the fiber-stack totals.
 pub fn engine_artifact(
     quick: bool,
     reps: u32,
@@ -58,12 +65,10 @@ pub fn engine_artifact(
                 0.0
             }),
         )
-        .set("workers_spawned", count(pool.spawned))
-        .set("workers_reused", count(pool.reused))
-        .set("workers_retired", count(pool.retired))
-        .set("peak_pooled", count(pool.peak_pooled))
-        .set("pool_cap", count(pool.cap));
+        .set("stacks_spawned", count(pool.spawned))
+        .set("stacks_reused", count(pool.reused));
     let mut doc = envelope("engine_perf")
+        .set("version", Json::Int(ENGINE_ARTIFACT_VERSION))
         .set("quick", Json::Bool(quick))
         .set("reps", Json::Int(i64::from(reps)))
         .set("samples", Json::Arr(samples.iter().map(json_sample).collect()))
@@ -84,22 +89,24 @@ mod tests {
             wall_s: 0.001,
             stats: SimStats { events: 96, ..SimStats::default() },
         }];
-        let pool = PoolStats { spawned: 48, reused: 96, retired: 0, peak_pooled: 48, cap: 64 };
+        let pool = PoolStats { spawned: 48, reused: 96 };
         engine_artifact(true, 1, &samples, &pool)
     }
 
     #[test]
     fn engine_artifact_parses_and_carries_the_version() {
         let doc = Json::parse(&sample_doc()).expect("valid JSON");
-        validate_artifact_version(&doc).expect("version stamp");
+        assert_eq!(doc.get("version").and_then(Json::as_i64), Some(ENGINE_ARTIFACT_VERSION));
         assert_eq!(doc.get("bench").and_then(Json::as_str), Some("engine_perf"));
         let samples = doc.get("samples").and_then(Json::as_arr).expect("samples");
         assert_eq!(samples.len(), 1);
         assert_eq!(samples[0].get("events").and_then(Json::as_i64), Some(96));
-        assert_eq!(
-            doc.get("totals").and_then(|t| t.get("workers_spawned")).and_then(Json::as_i64),
-            Some(48)
-        );
+        let totals = doc.get("totals").expect("totals");
+        assert_eq!(totals.get("stacks_spawned").and_then(Json::as_i64), Some(48));
+        assert_eq!(totals.get("stacks_reused").and_then(Json::as_i64), Some(96));
+        for gone in ["workers_spawned", "workers_retired", "peak_pooled", "pool_cap"] {
+            assert!(totals.get(gone).is_none(), "version 2 has no '{gone}'");
+        }
     }
 
     #[test]

@@ -842,4 +842,22 @@ mod tests {
             "with leaf_direct the ping-pong penalty must appear: {double_ld} vs {single_ld}"
         );
     }
+
+    /// Pins the exact recovery counters of one seeded faulted run in
+    /// which parents re-notify children that missed a notification. A
+    /// change to that path (the `flag_put` in `wait_flag`) fails here,
+    /// although delivery alone would not notice it: the children also
+    /// recover by probing on their own.
+    #[test]
+    fn renotify_counters_are_pinned() {
+        use crate::reliable::RelStats;
+        use scc_sim::FaultPlan;
+        let sim = SimConfig {
+            faults: FaultPlan { drop_notification_ppm: 50_000, ..FaultPlan::default() },
+            ..cfg(24)
+        };
+        let oc = OcConfig { chunk_lines: 2, ..OcConfig::default() };
+        let stats = check_bcast_reliable(&sim, oc, 0, 4 * 96 * 32);
+        assert_eq!(stats, RelStats { timeouts: 291, probes: 291, recoveries: 179, renotifies: 5 });
+    }
 }

@@ -166,8 +166,8 @@ pub enum ObsEvent {
     /// `core`, parked on `line`, was woken at `at` by an op issued by
     /// `writer` completing a write into the watched line.
     Wake { core: CoreId, line: usize, at: Time, writer: CoreId },
-    /// The engine handed the baton from `from` to `to` — a real thread
-    /// switch in the baton-passing engine.
+    /// The engine handed the baton from `from` to `to` — a switch from
+    /// one core's fiber stack to another's in the baton-passing engine.
     Handoff { from: CoreId, to: CoreId, at: Time },
     /// Pure local computation on `core` over `[start, end]`.
     Compute { core: CoreId, start: Time, end: Time },
@@ -230,9 +230,8 @@ impl ObsEvent {
     }
 }
 
-/// The sink the engine feeds. `Send` because the recorder lives inside
-/// the engine state, which migrates across pooled core threads.
-pub trait Recorder: Send {
+/// The sink the engine feeds.
+pub trait Recorder {
     fn record(&mut self, ev: ObsEvent);
 
     /// Take all recorded events out of the sink (called once, at the

@@ -131,12 +131,17 @@ pub struct SimStats {
     /// pushes from the coalesced fast path are *not* counted here).
     pub heap_pushes: u64,
     /// Line steps taken on the coalesced fast path, i.e. heap
-    /// round-trips elided. `events == heap_pushes + coalesced_steps`
-    /// on every successful run.
+    /// round-trips elided. On every successful run
+    /// `heap_pushes + coalesced_steps - events` is the number of events
+    /// still queued when the last core finished. Only deadline timers
+    /// (`Rma::flag_wait_local_until` waits woken before their deadline)
+    /// can be left over, so without deadline waits
+    /// `events == heap_pushes + coalesced_steps` exactly.
     pub coalesced_steps: u64,
     /// Grants delivered to a core other than the current baton holder
-    /// — each one is a real thread switch. Grants returned inline to
-    /// the requesting core are free and not counted.
+    /// — each one is a switch from one core's fiber stack to another's
+    /// (plus one for the first core at the start of the run). Grants
+    /// returned inline to the requesting core are free and not counted.
     pub handoffs: u64,
     /// Per-tile breakdown of [`port_wait`](SimStats::port_wait)
     /// (24 entries; `sum == port_wait` on every run).
@@ -192,7 +197,7 @@ impl SimStats {
     }
 }
 
-/// Mutable chip state owned by the scheduler thread.
+/// Mutable chip state, owned by the engine of one run.
 pub struct Chip {
     pub params: SimParams,
     pub num_cores: usize,
@@ -222,6 +227,12 @@ pub struct Chip {
 }
 
 impl Chip {
+    /// A fresh chip with `num_cores` cores.
+    ///
+    /// # Panics
+    ///
+    /// Unless `num_cores` is in `1..=48`; [`crate::run_spmd`] checks
+    /// this first and returns [`crate::SimError::Config`] instead.
     pub fn new(params: SimParams, num_cores: usize, mem_bytes: usize) -> Chip {
         assert!((1..=scc_hal::NUM_CORES).contains(&num_cores));
         Chip {

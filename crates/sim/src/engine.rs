@@ -1,26 +1,24 @@
 //! The conservative sequential discrete-event engine.
 //!
-//! Each simulated core runs the user's SPMD closure on its own OS
-//! thread (leased from a process-wide pool, see [`crate::handoff`]),
-//! but exactly one simulated core is *runnable* at any instant; events
-//! are ordered by `(virtual time, sequence number)`, so runs are
-//! bit-for-bit deterministic regardless of OS scheduling.
+//! Each simulated core runs the user's SPMD closure as a fiber (its own
+//! stack, see [`crate::handoff`]) on the thread that called
+//! [`run_spmd`]. Exactly one simulated core is *runnable* at any
+//! instant; events are ordered by `(virtual time, sequence number)`, so
+//! runs are bit-for-bit deterministic.
 //!
-//! ## Baton-passing: the engine runs on the cores' threads
+//! ## Baton-passing: the engine runs on the cores' stacks
 //!
-//! There is no scheduler thread. The engine state (chip, event heap,
-//! pending ops) lives behind one mutex — the *baton* — and the event
-//! loop is executed by whichever core thread is currently runnable:
-//! when a core issues a timed request it keeps processing events
-//! inline until either its own grant is produced (it simply returns —
-//! zero thread switches, the common case for back-to-back operations
-//! of one core) or a grant for another core comes up, in which case it
-//! deposits the grant in that core's rendezvous [`ParkCell`], wakes it
-//! (one thread switch, where the old channel-based design needed two
-//! via the scheduler thread), and parks until its own grant arrives.
-//! The mutex is never contended in steady state — only the baton
-//! holder touches it — and the strict grant→request alternation per
-//! core is what makes the event order independent of the OS.
+//! There is no scheduler context. The engine state (chip, event heap,
+//! pending ops) lives in one `RefCell` — the *baton* — and the event
+//! loop is executed by whichever core is currently runnable: when a
+//! core issues a timed request it keeps processing events inline until
+//! either its own grant is produced (it simply returns — no switch at
+//! all, the common case for back-to-back operations of one core) or a
+//! grant for another core comes up, in which case it deposits the grant
+//! in that core's slot and switches straight to that core's stack. It
+//! resumes when some other core hands it a grant in turn. The engine is
+//! never borrowed across a switch, and the strict grant→request
+//! alternation per core is what fixes the event order.
 //!
 //! Operations are *simulated* (resources reserved, completion time
 //! computed) at issue and their memory effects applied at completion —
@@ -45,19 +43,21 @@
 
 use crate::chip::{Chip, SimStats};
 use crate::fault::{FaultPlan, FaultState};
-use crate::handoff::{self, ParkCell, Slot};
+use crate::handoff::{self, Sp};
 use crate::ops::{self, Effect, Op};
 use crate::params::SimParams;
 use scc_hal::{
     CoreId, FlagValue, MemRange, MpbAddr, MsgId, Rma, RmaError, RmaResult, Span, Time, NUM_CORES,
 };
 use scc_obs::{EventLog, FaultKind, FlightRecorder, ObsEvent};
+use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ffi::c_void;
 use std::fmt;
-use std::panic::resume_unwind;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::rc::Rc;
 
 /// Configuration of a simulator run.
 #[derive(Clone, Debug)]
@@ -126,15 +126,19 @@ impl SimConfig {
 /// Whole-run failure of a simulation.
 #[derive(Clone, Debug)]
 pub enum SimError {
+    /// The [`SimConfig`] cannot describe a run (e.g. `num_cores`
+    /// outside `1..=48`).
+    Config(String),
     /// Every unfinished core was parked on a flag nobody can write.
     Deadlock { parked: Vec<(CoreId, usize)> },
-    /// A core thread disconnected (panicked) or the engine wedged.
+    /// A core panicked or the engine wedged.
     Engine(String),
 }
 
 impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            SimError::Config(m) => write!(f, "invalid simulator config: {m}"),
             SimError::Deadlock { parked } => {
                 write!(f, "simulation deadlock; parked: ")?;
                 for (c, l) in parked {
@@ -281,7 +285,7 @@ enum Submitted {
     Blocked,
 }
 
-/// All mutable engine state, owned by the baton mutex in [`Shared`].
+/// All mutable engine state, owned by the baton `RefCell` in [`Shared`].
 struct Engine {
     chip: Chip,
     coalesce: bool,
@@ -355,6 +359,13 @@ impl Engine {
         if let Some(r) = self.chip.recorder.as_mut() {
             r.record(ev);
         }
+    }
+
+    /// Count and record a grant passing from `from` to core `to`.
+    fn hand_off(&mut self, from: CoreId, to: usize) {
+        self.chip.stats.handoffs += 1;
+        let at = self.now;
+        self.record(ObsEvent::Handoff { from, to: CoreId(to as u8), at });
     }
 
     fn granted(&mut self, core: usize, grant: Grant) -> Advanced {
@@ -705,39 +716,58 @@ struct RunOutput {
     stats: SimStats,
 }
 
-/// Engine state shared by all core threads of one run.
+/// Per-run state shared by the caller of [`run_spmd`] and the run's
+/// core fibers. Only the running context touches it, and the engine is
+/// never borrowed across a switch.
 struct Shared {
-    engine: Mutex<Engine>,
-    /// Per-core rendezvous for grants produced while the core was not
-    /// the baton holder.
-    grants: Vec<ParkCell<Grant>>,
-    /// Signalled exactly once, when the last core finishes (or the run
-    /// aborts); closed on teardown so the waiter never hangs.
-    completion: Slot<Result<RunOutput, SimError>>,
+    engine: RefCell<Engine>,
+    /// The grant each core finds when it is next resumed.
+    grants: Vec<Cell<Option<Grant>>>,
+    /// Saved stack pointer of every suspended context: cores `0..n`,
+    /// then the caller of `run_spmd` at index `n`.
+    sp: Vec<Cell<Sp>>,
+    /// Set when a core's fiber has run to its end: nothing it owned is
+    /// left on its stack, and it is never resumed.
+    exited: Vec<Cell<bool>>,
+    /// The run's result, set by the last core to finish — or the first
+    /// error that stopped the run.
+    outcome: RefCell<Option<Result<RunOutput, SimError>>>,
+    /// First panic raised by a core; `run_spmd` re-raises it.
+    panic: Cell<Option<Box<dyn Any + Send>>>,
+    num_cores: usize,
+    mem_bytes: usize,
+    recording: bool,
 }
 
 impl Shared {
-    fn lock_engine(&self) -> MutexGuard<'_, Engine> {
-        // A panicking core thread may poison the baton; the abort path
-        // still needs the state (to set `fatal`), so recover.
-        self.engine.lock().unwrap_or_else(|e| e.into_inner())
+    /// Index of the `run_spmd` caller's context in [`Shared::sp`].
+    fn caller(&self) -> usize {
+        self.num_cores
     }
 
-    /// Tear the run down: flag the engine fatal, deliver `err` to the
-    /// completion waiter and unblock every parked core.
-    fn abort(&self, err: SimError) {
-        self.lock_engine().fatal = true;
-        let _ = self.completion.try_put(Err(err));
-        self.completion.close();
-        for g in &self.grants {
-            g.close();
-        }
+    /// Suspend context `from` and resume context `to`; returns when
+    /// some context switches back to `from`.
+    fn switch(&self, from: usize, to: usize) {
+        // SAFETY: `sp[to]` is a suspended context on a mapped stack:
+        // cores' stacks stay mapped until every core has exited, an
+        // exited core is never a target (the caller resumes only cores
+        // not yet exited, and an exiting core hands its turn to one that
+        // is runnable or to the caller), and the caller is suspended in
+        // `run_spmd` whenever a core runs.
+        unsafe { handoff::switch(self.sp[from].as_ptr(), self.sp[to].get()) }
     }
 
-    /// Deliver a grant to `core` and wake it. Failure means the run is
-    /// aborting; the waiter is then woken by `close` instead.
-    fn deposit(&self, core: usize, grant: Grant) {
-        let _ = self.grants[core].put(grant);
+    /// Deposit `grant` for `core` and switch to it from context `from`.
+    fn hand_to(&self, from: usize, core: usize, grant: Grant) {
+        self.grants[core].set(Some(grant));
+        self.switch(from, core);
+    }
+
+    /// Stop the run. The first error stays the run's outcome; every
+    /// later request fails at once.
+    fn fail(&self, err: SimError) {
+        self.engine.borrow_mut().fatal = true;
+        self.outcome.borrow_mut().get_or_insert(Err(err));
     }
 }
 
@@ -746,12 +776,18 @@ impl Shared {
 /// The [`Rma`] endpoint handed to the SPMD closure for one simulated
 /// core. Requests are fed straight into the shared engine; virtual
 /// time advances only through timed operations.
+///
+/// A core handle belongs to the thread running its fiber and cannot be
+/// sent to another:
+///
+/// ```compile_fail
+/// fn assert_send<T: Send>() {}
+/// assert_send::<scc_sim::SimCore>();
+/// ```
 pub struct SimCore {
     id: CoreId,
-    num_cores: usize,
-    mem_bytes: usize,
     /// Cached `SimConfig::record`, so span annotations cost one local
-    /// branch (no engine lock) when recording is off.
+    /// branch (no engine borrow) when recording is off.
     recording: bool,
     now: Cell<Time>,
     parked_line: Cell<usize>,
@@ -763,40 +799,39 @@ pub struct SimCore {
     /// along in the request and comes back in the grant, so steady
     /// state does no allocation per call.
     scratch: RefCell<Vec<u8>>,
-    shared: Arc<Shared>,
+    shared: Rc<Shared>,
 }
 
 impl SimCore {
     /// Submit one request and run the engine until this core's grant is
-    /// available — inline when possible, via a single thread handoff
-    /// when another core must run first.
+    /// available — inline when possible, via one switch to the core the
+    /// engine grants next otherwise.
     fn rpc(&self, req: Request) -> RmaResult<Grant> {
         let me = self.id.index();
-        let mut eng = self.shared.lock_engine();
+        let shared = &*self.shared;
+        let mut eng = shared.engine.borrow_mut();
         let grant = match eng.submit(me, req).map_err(|e| RmaError::Engine(e.to_string()))? {
             Submitted::Ready(g) => g,
             Submitted::Blocked => match eng.advance() {
                 Advanced::Granted(core, g) if core == me => g,
                 Advanced::Granted(core, g) => {
-                    eng.chip.stats.handoffs += 1;
-                    let at = eng.now;
-                    eng.record(ObsEvent::Handoff { from: self.id, to: CoreId(core as u8), at });
+                    eng.hand_off(self.id, core);
                     drop(eng);
-                    self.shared.deposit(core, g);
-                    self.shared.grants[me]
+                    shared.hand_to(me, core, g);
+                    shared.grants[me]
                         .take()
-                        .map_err(|_| RmaError::Engine("run aborted".into()))?
+                        .ok_or_else(|| RmaError::Engine("core resumed without a grant".into()))?
                 }
                 Advanced::RunComplete => {
                     // Unreachable: this core has not finished. Treat it
                     // as a wedge rather than trusting the impossible.
                     drop(eng);
-                    self.shared.abort(SimError::Engine("run completed with a core mid-op".into()));
+                    shared.fail(SimError::Engine("run completed with a core mid-op".into()));
                     return Err(RmaError::Engine("engine wedged".into()));
                 }
                 Advanced::Fatal(msg) => {
                     drop(eng);
-                    self.shared.abort(SimError::Engine(msg.clone()));
+                    shared.fail(SimError::Engine(msg.clone()));
                     return Err(RmaError::Engine(msg));
                 }
             },
@@ -827,41 +862,34 @@ impl SimCore {
         self.rpc(Request::Op { op, msg: self.cur_msg.get() })
     }
 
-    fn wait_start(&self) -> RmaResult<()> {
-        match self.shared.grants[self.id.index()].take() {
-            Ok(Grant::Go { now }) => {
-                self.now.set(now);
-                Ok(())
-            }
-            _ => Err(RmaError::Engine("no start grant".into())),
-        }
-    }
-
-    /// Retire this core: record its end time, then keep the event loop
-    /// moving — hand the baton to the next runnable core, or complete
-    /// the run if this was the last one.
-    fn finish(&self) {
-        let mut eng = self.shared.lock_engine();
+    /// Retire this core: record its end time and advance the event
+    /// loop. Returns the context to switch to: the next runnable core
+    /// (its grant already deposited), or the caller of `run_spmd` once
+    /// the run has completed or stopped.
+    fn finish(&self) -> usize {
+        let shared = &*self.shared;
+        let mut eng = shared.engine.borrow_mut();
         if eng.fatal {
-            return;
+            return shared.caller();
         }
         eng.submit_finish(self.id.index());
         match eng.advance() {
             Advanced::RunComplete => {
                 let result = eng.make_result();
                 drop(eng);
-                let _ = self.shared.completion.try_put(result);
+                shared.outcome.replace(Some(result));
+                shared.caller()
             }
             Advanced::Granted(core, g) => {
-                eng.chip.stats.handoffs += 1;
-                let at = eng.now;
-                eng.record(ObsEvent::Handoff { from: self.id, to: CoreId(core as u8), at });
+                eng.hand_off(self.id, core);
                 drop(eng);
-                self.shared.deposit(core, g);
+                shared.grants[core].set(Some(g));
+                core
             }
             Advanced::Fatal(msg) => {
                 drop(eng);
-                self.shared.abort(SimError::Engine(msg));
+                shared.fail(SimError::Engine(msg));
+                shared.caller()
             }
         }
     }
@@ -869,9 +897,7 @@ impl SimCore {
     /// Deposit a span event into the recorder. Spans carry no virtual
     /// time of their own — they are stamped with this core's current
     /// clock — so annotating a collective cannot perturb the run. Only
-    /// reached when recording: the calling core holds the logical baton
-    /// (it is the single runnable core), so the engine lock is
-    /// uncontended.
+    /// reached when recording.
     fn record_span(&self, begin: bool, span: Span) {
         let at = self.now.get();
         let ev = if begin {
@@ -879,7 +905,7 @@ impl SimCore {
         } else {
             ObsEvent::SpanEnd { core: self.id, span, at }
         };
-        self.shared.lock_engine().record(ev);
+        self.shared.engine.borrow_mut().record(ev);
     }
 
     /// Deposit a delivery-window boundary. Same discipline as
@@ -892,7 +918,7 @@ impl SimCore {
         } else {
             ObsEvent::DeliveryEnd { core: self.id, epoch, at }
         };
-        self.shared.lock_engine().record(ev);
+        self.shared.engine.borrow_mut().record(ev);
     }
 }
 
@@ -902,7 +928,7 @@ impl Rma for SimCore {
     }
 
     fn num_cores(&self) -> usize {
-        self.num_cores
+        self.shared.num_cores
     }
 
     fn now(&self) -> Time {
@@ -910,7 +936,7 @@ impl Rma for SimCore {
     }
 
     fn mem_len(&self) -> usize {
-        self.mem_bytes
+        self.shared.mem_bytes
     }
 
     fn put_from_mem(&mut self, src: MemRange, dst: MpbAddr) -> RmaResult<()> {
@@ -1040,17 +1066,65 @@ impl Rma for SimCore {
     }
 }
 
-/// Tears the whole run down if the SPMD closure panics, so the other
-/// core threads and the completion waiter unblock instead of waiting
-/// for a baton that will never be passed again.
-struct AbortOnPanic<'a>(&'a Shared);
+/// What a core fiber starts from: its id, the closure and a slot for
+/// its result. Lives in `run_spmd`'s frame, which outlives every fiber.
+struct Launch<'a, R, F> {
+    shared: &'a Rc<Shared>,
+    f: &'a F,
+    id: usize,
+    result: Cell<Option<R>>,
+}
 
-impl Drop for AbortOnPanic<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.abort(SimError::Engine("a core thread panicked".into()));
-        }
+impl<R, F: Fn(&mut SimCore) -> R> Launch<'_, R, F> {
+    /// Run the core's closure once it receives its start grant. Returns
+    /// the context to switch to when the fiber exits.
+    fn run(&self) -> usize {
+        let shared = self.shared;
+        let Some(Grant::Go { now }) = shared.grants[self.id].take() else {
+            // Aborted before the core ever started.
+            return shared.caller();
+        };
+        let mut core = SimCore {
+            id: CoreId(self.id as u8),
+            recording: shared.recording,
+            now: Cell::new(now),
+            parked_line: Cell::new(0),
+            cur_msg: Cell::new(None),
+            scratch: RefCell::new(Vec::new()),
+            shared: Rc::clone(shared),
+        };
+        let r = (self.f)(&mut core);
+        let next = core.finish();
+        self.result.set(Some(r));
+        next
     }
+}
+
+/// Body of every core fiber: run the core, catching a panic so it can
+/// be re-raised on the caller's stack, then hand the turn on for good.
+///
+/// # Safety
+///
+/// `arg` must point to a `Launch<R, F>` that outlives the fiber.
+unsafe extern "C" fn core_main<R, F: Fn(&mut SimCore) -> R>(arg: *mut c_void) -> ! {
+    // SAFETY: `run_spmd` passes this core's `Launch`, which lives in its
+    // frame; that frame does not return before every core has exited.
+    let launch = unsafe { &*arg.cast::<Launch<'_, R, F>>() };
+    let shared: &Shared = launch.shared;
+    let next = match catch_unwind(AssertUnwindSafe(|| launch.run())) {
+        Ok(next) => next,
+        Err(payload) => {
+            shared.fail(SimError::Engine("a core panicked".into()));
+            let first = shared.panic.take().unwrap_or(payload);
+            shared.panic.set(Some(first));
+            shared.caller()
+        }
+    };
+    // Everything the core owned has been dropped; this stack holds only
+    // plain data from here on and is never resumed.
+    shared.exited[launch.id].set(true);
+    shared.switch(launch.id, next);
+    unreachable!("an exited core fiber was resumed");
 }
 
 /// Run `f` as an SPMD program on the simulated chip: one invocation per
@@ -1061,106 +1135,79 @@ impl Drop for AbortOnPanic<'_> {
 /// deterministic) closure ⇒ identical report, independent of host
 /// scheduling.
 ///
-/// Core threads are leased from a process-wide pool, so back-to-back
-/// runs (sweeps, benches) pay no thread spawn/join cost after the
-/// first.
+/// Every core runs as a fiber on the calling thread; fiber stacks are
+/// reused across runs on the same thread. A panic in a core stops the
+/// run: every other core is resumed with an [`RmaError::Engine`]
+/// ("run aborted") so its closure returns and its locals drop, and then
+/// the first panic is re-raised here.
 pub fn run_spmd<R, F>(cfg: &SimConfig, f: F) -> Result<SimReport<R>, SimError>
 where
-    R: Send,
-    F: Fn(&mut SimCore) -> R + Send + Sync,
+    F: Fn(&mut SimCore) -> R,
 {
     let n = cfg.num_cores;
-    assert!((1..=NUM_CORES).contains(&n), "num_cores must be in 1..=48");
+    if !(1..=NUM_CORES).contains(&n) {
+        return Err(SimError::Config(format!("num_cores must be in 1..={NUM_CORES}, got {n}")));
+    }
     let _in_flight = crate::telemetry::InFlightGuard::enter();
-    let shared = Arc::new(Shared {
-        engine: Mutex::new(Engine::new(cfg)),
-        grants: (0..n).map(|_| ParkCell::new()).collect(),
-        completion: Slot::new(),
+    let shared = Rc::new(Shared {
+        engine: RefCell::new(Engine::new(cfg)),
+        grants: (0..n).map(|_| Cell::new(None)).collect(),
+        sp: (0..=n).map(|_| Cell::new(std::ptr::null_mut())).collect(),
+        exited: (0..n).map(|_| Cell::new(false)).collect(),
+        outcome: RefCell::new(None),
+        panic: Cell::new(None),
+        num_cores: n,
+        mem_bytes: cfg.mem_bytes,
+        recording: cfg.record || cfg.flight > 0,
     });
-    let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let mem_bytes = cfg.mem_bytes;
-    let recording = cfg.record || cfg.flight > 0;
-    let f = &f;
-
-    let workers = handoff::checkout(n);
-    for (i, worker) in workers.iter().enumerate() {
-        let shared = Arc::clone(&shared);
-        let result = &results[i];
-        let job = move || {
-            let _teardown_on_panic = AbortOnPanic(&shared);
-            let mut core = SimCore {
-                id: CoreId(i as u8),
-                num_cores: n,
-                mem_bytes,
-                recording,
-                now: Cell::new(Time::ZERO),
-                parked_line: Cell::new(0),
-                cur_msg: Cell::new(None),
-                scratch: RefCell::new(Vec::new()),
-                shared: Arc::clone(&shared),
-            };
-            if core.wait_start().is_ok() {
-                let r = f(&mut core);
-                core.finish();
-                *result.lock().unwrap_or_else(|e| e.into_inner()) = Some(r);
-            }
-        };
-        // SAFETY: the job borrows `f` and `results` from this stack
-        // frame. Every worker is awaited below — on the success and
-        // abort paths alike — before this frame returns, so the erased
-        // lifetime never outlives its borrows.
-        let job: Box<dyn FnOnce() + Send> = Box::new(job);
-        let job: handoff::Job =
-            unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send>, handoff::Job>(job) };
-        worker.submit(job);
+    let caller = shared.caller();
+    let launches: Vec<Launch<'_, R, F>> =
+        (0..n).map(|id| Launch { shared: &shared, f: &f, id, result: Cell::new(None) }).collect();
+    let stacks: Vec<handoff::Stack> = (0..n).map(|_| handoff::lease()).collect();
+    for (i, (launch, stack)) in launches.iter().zip(&stacks).enumerate() {
+        let arg = std::ptr::from_ref(launch).cast_mut().cast::<c_void>();
+        shared.sp[i].set(handoff::prepare(stack, core_main::<R, F>, arg));
     }
 
-    // Kick the run: deliver the first grant (core 0's start `Go`), then
-    // wait for completion while the core threads pass the baton around.
-    {
-        let mut eng = shared.lock_engine();
+    // Kick the run: hand the first grant (core 0's start `Go`) to its
+    // core. Control comes back here once the run completes or stops.
+    let first = {
+        let mut eng = shared.engine.borrow_mut();
         match eng.advance() {
             Advanced::Granted(core, g) => {
-                eng.chip.stats.handoffs += 1;
                 // The kick has no issuing core; record it as the baton
                 // appearing at its first holder.
-                let at = eng.now;
-                eng.record(ObsEvent::Handoff {
-                    from: CoreId(core as u8),
-                    to: CoreId(core as u8),
-                    at,
-                });
-                drop(eng);
-                shared.deposit(core, g);
+                eng.hand_off(CoreId(core as u8), core);
+                Some((core, g))
             }
-            Advanced::RunComplete | Advanced::Fatal(_) => {
-                drop(eng);
-                shared.abort(SimError::Engine("engine wedged before any core started".into()));
-            }
+            Advanced::RunComplete | Advanced::Fatal(_) => None,
         }
+    };
+    match first {
+        Some((core, g)) => shared.hand_to(caller, core, g),
+        None => shared.fail(SimError::Engine("engine wedged before any core started".into())),
     }
-    let outcome =
-        shared.completion.take().unwrap_or_else(|_| Err(SimError::Engine("run aborted".into())));
 
-    // Wait for every worker before the borrowed stack may go away.
-    let mut core_panic = None;
-    for worker in &workers {
-        if let Err(p) = worker.wait() {
-            core_panic = Some(p);
+    // A stopped run leaves cores suspended mid-request. Resume each
+    // with a rejection: its closure returns, its locals drop, and its
+    // fiber exits back here.
+    for i in 0..n {
+        if !shared.exited[i].get() {
+            shared.fail(SimError::Engine("run aborted".into()));
+            let err = RmaError::Engine("run aborted".into());
+            shared.hand_to(caller, i, Grant::Rejected { err, buf: None });
         }
     }
-    handoff::checkin(workers);
-    if let Some(p) = core_panic {
+    stacks.into_iter().for_each(handoff::release);
+    if let Some(p) = shared.panic.take() {
         resume_unwind(p);
     }
 
-    let out = outcome?;
-    let mut collected = Vec::with_capacity(n);
-    for slot in &results {
-        if let Some(r) = slot.lock().unwrap_or_else(|e| e.into_inner()).take() {
-            collected.push(r);
-        }
-    }
+    let out = shared
+        .outcome
+        .take()
+        .unwrap_or_else(|| Err(SimError::Engine("run ended without an outcome".into())))?;
+    let collected: Vec<R> = launches.into_iter().filter_map(|l| l.result.into_inner()).collect();
     if collected.len() != n {
         return Err(SimError::Engine("some cores never started".into()));
     }
@@ -1361,5 +1408,44 @@ mod tests {
         let p = outcome.expect_err("panic must propagate to the caller");
         let msg = p.downcast_ref::<&str>().copied().unwrap_or_default();
         assert_eq!(msg, "core exploded");
+    }
+
+    #[test]
+    fn core_count_outside_the_chip_is_a_config_error() {
+        for n in [0, NUM_CORES + 1] {
+            let cfg = SimConfig { num_cores: n, mem_bytes: 4096, ..SimConfig::default() };
+            match run_spmd(&cfg, |_| ()) {
+                Err(SimError::Config(m)) => assert!(m.contains(&n.to_string()), "{m}"),
+                other => panic!("num_cores = {n}: expected a config error, got {other:?}"),
+            }
+        }
+    }
+
+    /// The counters' gap is the events still queued at completion: a
+    /// deadline timer whose waiter was woken by a write first. The same
+    /// program without a deadline leaves nothing queued.
+    #[test]
+    fn event_gap_counts_the_deadline_timers_left_queued() {
+        let far = Time::from_us_f64(1000.0);
+        let gap = |deadline: bool| {
+            let cfg = SimConfig { num_cores: 2, mem_bytes: 4096, ..SimConfig::default() };
+            let rep = run_spmd(&cfg, move |c| -> RmaResult<()> {
+                if c.core().index() == 0 {
+                    c.compute(Time::US);
+                    c.flag_put(MpbAddr::new(CoreId(1), 0), FlagValue(1))
+                } else if deadline {
+                    c.flag_wait_local_until(0, &mut |v| v == FlagValue(1), far).map(drop)
+                } else {
+                    c.flag_wait_local(0, &mut |v| v == FlagValue(1)).map(drop)
+                }
+            })
+            .unwrap();
+            assert!(rep.results.iter().all(Result::is_ok));
+            assert!(rep.makespan < far, "the deadline must lie past the makespan");
+            assert_eq!(rep.stats.parks, 1, "core 1 must have waited");
+            rep.stats.heap_pushes + rep.stats.coalesced_steps - rep.stats.events
+        };
+        assert_eq!(gap(false), 0);
+        assert_eq!(gap(true), 1);
     }
 }

@@ -60,7 +60,7 @@ pub struct EngineTotals {
     pub heap_pushes: u64,
     /// Heap round-trips elided by the coalesced fast path.
     pub coalesced_steps: u64,
-    /// Real thread switches (baton handoffs).
+    /// Baton handoffs: switches from one core's fiber to another's.
     pub handoffs: u64,
 }
 

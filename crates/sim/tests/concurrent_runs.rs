@@ -1,16 +1,17 @@
 //! Stress guard for the parallel observatory: many simultaneous
 //! `run_spmd` calls from many host threads must each behave exactly as
 //! if they ran alone. The engine keeps all run state in a per-run
-//! `Shared`, so concurrent runs may only interact through the handoff
-//! pool and the telemetry counters — this test pins down that neither
-//! leaks between runs:
+//! `Shared` and runs a run's cores as fibers on its calling thread, so
+//! concurrent runs may only interact through the stack counters and the
+//! telemetry counters — this test pins down that nothing leaks between
+//! runs:
 //!
 //! * every concurrent run's virtual end times, makespan, and `SimStats`
 //!   equal its isolated sequential baseline;
 //! * the thread-local telemetry scope charges each host thread with
 //!   exactly its own runs' counters;
-//! * the handoff free list respects its cap even at the concurrency
-//!   high-water mark.
+//! * fiber stacks are reused per host thread: no thread maps more stacks
+//!   than its widest run needs.
 
 use scc_hal::{CoreId, FlagValue, MemRange, MpbAddr, Rma, RmaExt, RmaResult, Time};
 use scc_sim::engine::SimCore;
@@ -72,16 +73,16 @@ fn run_once(s: Scenario) -> Baseline {
     }
 }
 
+const HOST_THREADS: usize = 8;
+const ROUNDS: usize = 3;
+
 #[test]
 fn concurrent_runs_match_isolated_baselines() {
     // Isolated sequential baselines first, on this thread alone.
     let baselines: Vec<Baseline> = SCENARIOS.iter().map(|&s| run_once(s)).collect();
 
     // Now the storm: each of 8 host threads re-runs every scenario
-    // several times, all overlapping. 8 threads × 24-core sims pushes
-    // the aggregate leased-core count well past the pool cap.
-    const HOST_THREADS: usize = 8;
-    const ROUNDS: usize = 3;
+    // several times, all overlapping.
     telemetry::reset_peak_in_flight();
     std::thread::scope(|scope| {
         let baselines = &baselines;
@@ -133,6 +134,12 @@ fn concurrent_runs_match_isolated_baselines() {
         "stress test never actually overlapped two sims (peak {})",
         telemetry::peak_in_flight()
     );
+    // 9 threads (this one and the 8 above) each need at most 24 stacks
+    // at once; 9 × 18 runs without reuse would map far more.
+    let widest = SCENARIOS.iter().map(|s| s.cores as u64).max().unwrap_or(0);
     let pool = scc_sim::handoff::pool_stats();
-    assert!(pool.peak_pooled <= pool.cap, "free list exceeded its cap under the storm: {pool:?}");
+    assert!(
+        pool.spawned <= (HOST_THREADS as u64 + 1) * widest,
+        "fiber stacks were not reused across runs: {pool:?}"
+    );
 }
